@@ -1,19 +1,14 @@
 //! # cs-bench
 //!
-//! Benchmark host crate. The bench targets in `benches/` run on the
-//! in-workspace criterion-compatible [`harness`] (hermetic dependency
-//! policy: no external crates) and are gated behind the `bench` feature:
-//! `cargo bench -p cs-bench --features bench`.
-//!
-//! The [`emitter`] module is the machine-readable counterpart: the
-//! `bench_json` binary (not feature-gated) runs the same workloads and
-//! writes `BENCH_5.json`; `scripts/verify.sh` exercises it with `--smoke`
-//! and gates the PCA hot path against `BENCH_BUDGET.json` via `--budget`.
+//! Micro-benchmark host crate. The [`emitter`] module times one group per
+//! paper table/figure plus ablations; the `bench_json` binary runs it and
+//! writes the machine-readable report. `scripts/verify.sh` exercises it
+//! with `--smoke` and gates the PCA hot path against `BENCH_BUDGET.json`
+//! via `--budget`.
 
 pub mod emitter;
-pub mod harness;
 
-/// Standard explained-variance sweep used across bench targets, mirroring
+/// Standard explained-variance sweep used by the emitter, mirroring
 /// the paper's `v ∈ (1..0)` grid.
 pub fn variance_grid(steps: usize) -> Vec<f64> {
     assert!(steps >= 2, "need at least two grid points");

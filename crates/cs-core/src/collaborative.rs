@@ -5,16 +5,14 @@
 //! reconstructs it within that model's local linkability range
 //! (Definition 4). Training and assessment are embarrassingly parallel per
 //! schema, mirroring the paper's distributed deployment; the
-//! implementation fans out on the deterministic chunk-deal pool of
+//! implementation fans out on the deterministic chunk-deal executor of
 //! [`crate::pool`], whose slot assembly keeps parallel output
 //! bit-identical to the sequential path.
-
-use std::sync::Arc;
 
 use crate::error::ScopingError;
 use crate::local_model::LocalModel;
 use crate::outcome::ScopingOutcome;
-use crate::pool::{ExecPolicy, ThreadPool};
+use crate::pool::ExecPolicy;
 use crate::signatures::SchemaSignatures;
 use cs_linalg::pca::ExplainedVariance;
 use cs_linalg::PcaSolver;
@@ -85,11 +83,12 @@ pub struct CollaborativeRun {
 ///
 /// ```
 /// use cs_core::collaborative::{CollaborativeScoper, CombinationRule};
+/// use cs_core::ExecPolicy;
 ///
 /// let scoper = CollaborativeScoper::builder()
 ///     .explained_variance(0.85)
 ///     .combination(CombinationRule::Any)
-///     .parallel(true)
+///     .exec(ExecPolicy::Sequential)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(scoper.variance(), 0.85);
@@ -122,30 +121,9 @@ impl CollaborativeScoperBuilder {
         self
     }
 
-    /// Whether training/assessment fan out on the shared pool (on by
-    /// default; off gives bit-identical results on the caller thread).
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.exec = if parallel {
-            ExecPolicy::Global
-        } else {
-            ExecPolicy::Sequential
-        };
-        self
-    }
-
-    /// Forces inline execution on the caller thread.
-    pub fn sequential(self) -> Self {
-        self.parallel(false)
-    }
-
-    /// Uses a caller-owned pool instead of the process-wide one (e.g. to
-    /// pin an exact worker count in a determinism test).
-    pub fn pool(mut self, pool: Arc<ThreadPool>) -> Self {
-        self.exec = ExecPolicy::Pool(pool);
-        self
-    }
-
-    /// Sets the execution policy directly.
+    /// Sets how training/assessment fan out: the shared pool
+    /// ([`ExecPolicy::Global`], the default), a caller-owned pool, or
+    /// inline on the caller thread — all bit-identical.
     pub fn exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
         self
@@ -236,11 +214,9 @@ impl CollaborativeScoper {
         if k < 2 {
             return Err(ScopingError::TooFewSchemas { found: k });
         }
-        let sigs = signatures.clone(); // Arc bump, not a data copy
-        let solver = self.solver;
         self.exec
-            .run_slots(k, move |idx| {
-                LocalModel::train_with(idx, sigs.schema(idx), v, solver)
+            .run_slots(k, |idx| {
+                LocalModel::train_with(idx, signatures.schema(idx), v, self.solver)
             })?
             .into_iter()
             .collect()
@@ -248,18 +224,16 @@ impl CollaborativeScoper {
 
     /// Runs the full collaborative assessment (Algorithm 2 per schema).
     pub fn run(&self, signatures: &SchemaSignatures) -> Result<CollaborativeRun, ScopingError> {
-        let models = Arc::new(self.train_models(signatures)?);
+        let models = self.train_models(signatures)?;
         let k = signatures.schema_count();
 
         // Per schema: assess against every foreign model (parallel per schema).
-        let sigs = signatures.clone();
-        let shared_models = Arc::clone(&models);
-        let per_schema = self.exec.run_slots(k, move |idx| {
-            let sigs = sigs.schema(idx);
+        let per_schema = self.exec.run_slots(k, |idx| {
+            let sigs = signatures.schema(idx);
             let n = sigs.rows();
             let mut votes = vec![0usize; n];
             let mut margin = vec![f64::INFINITY; n];
-            for model in shared_models.iter().filter(|m| m.schema_index() != idx) {
+            for model in models.iter().filter(|m| m.schema_index() != idx) {
                 let errors = model.reconstruction_errors(sigs);
                 for (i, e) in errors.into_iter().enumerate() {
                     let m = e - model.linkability_range();
@@ -294,9 +268,6 @@ impl CollaborativeScoper {
             pass_operations: signatures.total_len() * foreign_count,
             models_trained: k,
         };
-        // Workers may still be dropping their Arc clones for an instant
-        // after the last result lands; fall back to a clone in that case.
-        let models = Arc::try_unwrap(models).unwrap_or_else(|shared| (*shared).clone());
         Ok(CollaborativeRun {
             outcome,
             accept_votes,
@@ -426,7 +397,7 @@ mod tests {
         let built = CollaborativeScoper::builder()
             .explained_variance(0.9)
             .combination(CombinationRule::AtLeast(2))
-            .parallel(false)
+            .exec(ExecPolicy::Sequential)
             .build()
             .unwrap();
         assert_eq!(built.variance(), 0.9);
@@ -444,7 +415,7 @@ mod tests {
             .unwrap();
         let seq = CollaborativeScoper::builder()
             .explained_variance(0.8)
-            .parallel(false)
+            .exec(ExecPolicy::Sequential)
             .build()
             .unwrap()
             .run(&sigs)

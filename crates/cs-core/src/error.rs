@@ -1,5 +1,6 @@
 //! Typed errors for the scoping pipeline.
 
+use cs_linalg::pool::WorkerPanicked;
 use cs_linalg::{PcaRehydrateError, SvdError};
 
 /// Errors surfaced by scoping and collaborative scoping.
@@ -58,8 +59,8 @@ pub enum ScopingError {
     /// rehydration (`Pca::from_parts`).
     PcaRehydrate(PcaRehydrateError),
     /// A closure dispatched to the parallel runtime panicked; the panic
-    /// was caught inside the worker and surfaced here instead of
-    /// poisoning or hanging the pool.
+    /// was caught inside its chunk and surfaced here
+    /// ([`WorkerPanicked`]).
     WorkerPanicked {
         /// The panic payload, stringified.
         detail: String,
@@ -127,6 +128,12 @@ impl From<SvdError> for ScopingError {
     }
 }
 
+impl From<WorkerPanicked> for ScopingError {
+    fn from(e: WorkerPanicked) -> Self {
+        ScopingError::WorkerPanicked { detail: e.detail }
+    }
+}
+
 impl From<PcaRehydrateError> for ScopingError {
     fn from(e: PcaRehydrateError) -> Self {
         ScopingError::PcaRehydrate(e)
@@ -176,11 +183,11 @@ mod tests {
             rehydrate.to_string(),
             "malformed PCA model: a PCA needs at least one component"
         );
-        assert!(ScopingError::WorkerPanicked {
-            detail: "boom".into()
+        let panicked: ScopingError = WorkerPanicked {
+            detail: "boom".into(),
         }
-        .to_string()
-        .contains("boom"));
+        .into();
+        assert_eq!(panicked.to_string(), "a parallel worker panicked: boom");
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub mod local_model;
 pub mod nonlinear;
 pub mod outcome;
 pub mod pairwise;
-pub mod pool;
+/// The deterministic chunk-deal executor, re-exported from `cs_linalg`.
+pub use cs_linalg::pool;
 pub mod scoper;
 pub mod scoping;
 pub mod signatures;

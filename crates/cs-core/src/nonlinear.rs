@@ -128,11 +128,9 @@ impl NeuralCollaborativeScoper {
         if k < 2 {
             return Err(ScopingError::TooFewSchemas { found: k });
         }
-        let sigs = signatures.clone();
-        let config = self.config.clone();
         let models: Vec<NeuralLocalModel> = crate::pool::ExecPolicy::Global
-            .run_slots(k, move |idx| {
-                NeuralLocalModel::train(idx, sigs.schema(idx), &config)
+            .run_slots(k, |idx| {
+                NeuralLocalModel::train(idx, signatures.schema(idx), &self.config)
             })?
             .into_iter()
             .collect::<Result<_, _>>()?;

@@ -90,9 +90,7 @@ struct SweepCache {
 /// Prepared state for sweeping `v` over a catalog's signatures.
 ///
 /// The cache is immutable once prepared and held behind an [`Arc`], so
-/// `Clone` is a reference-count bump — each worker of
-/// [`Self::assess_grid`] carries its own handle to the shared
-/// projections.
+/// `Clone` is a reference-count bump.
 #[derive(Debug, Clone)]
 pub struct CollaborativeSweep {
     inner: Arc<SweepCache>,
@@ -144,10 +142,9 @@ impl CollaborativeSweep {
         // Classify every schema with the same guards the strict path
         // (`LocalModel::train`) applies, so both paths agree on what is
         // degenerate.
-        let sigs = signatures.clone();
         let config = PcaConfig::new().with_solver(solver);
-        let fits: Vec<Result<Pca, ScopingError>> = exec.run_slots(k, move |m| {
-            let data = sigs.schema(m);
+        let fits: Vec<Result<Pca, ScopingError>> = exec.run_slots(k, |m| {
+            let data = signatures.schema(m);
             check_trainable(m, data)?;
             let pca = Pca::fit_with(data, config)?;
             check_spectrum(m, data, &pca)?;
@@ -185,20 +182,18 @@ impl CollaborativeSweep {
         // One slot per schema: its own-model table plus its row of
         // cross-model tables. Degraded schemas get no tables at all —
         // their signatures may be non-finite and must never be projected.
-        let sigs = signatures.clone();
-        let shared_pcas: Arc<Vec<Option<Pca>>> = Arc::new(pcas);
-        let per_schema = exec.run_slots(k, move |sk| {
-            let own = shared_pcas[sk]
+        let per_schema = exec.run_slots(k, |sk| {
+            let own = pcas[sk]
                 .as_ref()
-                .map(|pca| ProjTable::build(pca, sigs.schema(sk)));
+                .map(|pca| ProjTable::build(pca, signatures.schema(sk)));
             let cross: Vec<Option<ProjTable>> = (0..k)
                 .map(|m| {
                     if m == sk || own.is_none() {
                         return None;
                     }
-                    shared_pcas[m]
+                    pcas[m]
                         .as_ref()
-                        .map(|pca| ProjTable::build(pca, sigs.schema(sk)))
+                        .map(|pca| ProjTable::build(pca, signatures.schema(sk)))
                 })
                 .collect();
             (own, cross)
@@ -362,11 +357,7 @@ impl CollaborativeSweep {
                 return Err(ScopingError::InvalidVariance { value: v });
             }
         }
-        let sweep = self.clone();
-        let vs: Arc<[f64]> = vs.into();
-        exec.run_slots(vs.len(), move |i| {
-            sweep.assess_with_rule_unchecked(vs[i], rule)
-        })
+        Ok(exec.run_slots(vs.len(), |i| self.assess_with_rule_unchecked(vs[i], rule))?)
     }
 }
 

@@ -272,12 +272,13 @@ fn worker_panic_surfaces_through_scoper_api() {
     // panic *inside* pool workers must also surface as a typed error,
     // not a hang. Drive the pool directly with a panicking payload.
     let pool = ThreadPool::with_threads(2);
-    let err = pool
+    let err: cs_core::ScopingError = pool
         .run_slots(6, |i| {
             assert!(i != 3, "deliberate panic in worker");
             i
         })
-        .expect_err("panic must surface");
+        .expect_err("panic must surface")
+        .into();
     assert!(
         matches!(err, cs_core::ScopingError::WorkerPanicked { ref detail } if detail.contains("deliberate")),
         "got {err:?}"

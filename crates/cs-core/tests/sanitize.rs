@@ -8,7 +8,8 @@
 
 use std::thread;
 
-use cs_core::pool::{sanitize, ThreadPool};
+use cs_core::pool::ThreadPool;
+use cs_linalg::sanitize;
 
 /// Two threads nest a pair of locks in opposite orders. No real deadlock
 /// occurs (the threads run sequentially), but the union graph contains the

@@ -8,17 +8,8 @@
 //! sharing trigrams (similar spellings) therefore share vector mass —
 //! a smooth, deterministic analog of subword embeddings.
 
+pub use cs_linalg::hash::fnv1a;
 use cs_linalg::{SplitMix64, Xoshiro256};
-
-/// FNV-1a hash of a byte string — stable across platforms and runs.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Deterministic unit Gaussian direction for an arbitrary label.
 ///
@@ -61,14 +52,6 @@ pub fn trigram_vector(token: &str, seed: u64, dim: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use cs_linalg::vecops::{cosine, norm};
-
-    #[test]
-    fn fnv_matches_known_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn directions_are_deterministic_and_unit() {

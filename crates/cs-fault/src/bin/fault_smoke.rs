@@ -30,9 +30,10 @@
 
 use std::sync::Arc;
 
-use cs_core::pool::{sanitize, ExecPolicy};
+use cs_core::pool::ExecPolicy;
 use cs_core::ThreadPool;
 use cs_fault::run_matrix;
+use cs_linalg::sanitize;
 
 fn main() {
     // Injected worker panics are expected here; keep stderr clean so the

@@ -21,6 +21,7 @@
 //!   [`DEEP_MULTIPLIER`] (opt-in deep fuzzing, still dependency-free),
 //! - the `CS_PROP_CASES` environment variable overrides the count exactly.
 
+use crate::hash::Fnv1a;
 use crate::{Matrix, SplitMix64, Xoshiro256};
 
 /// Case-count multiplier applied when the `proptest-tests` feature is on.
@@ -123,9 +124,9 @@ where
     let n = cases(default_cases);
     // Derive per-case seeds from the property name so suites are decorrelated
     // yet stable across runs and platforms.
-    let mut root = SplitMix64::new(name.bytes().fold(0xC5_1A_B0_57u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01B3)
-    }));
+    let mut name_hash = Fnv1a::with_basis(0xC51A_B057);
+    name_hash.update(name.as_bytes());
+    let mut root = SplitMix64::new(name_hash.finish());
     for case in 0..n {
         let seed = root.next_u64();
         let mut gen = Gen::from_seed(seed);

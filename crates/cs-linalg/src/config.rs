@@ -14,7 +14,7 @@
 /// Property-test case-count override honored by [`crate::check::cases`].
 pub const PROP_CASES: &str = "CS_PROP_CASES";
 
-/// Worker-count override honored by `cs_core::pool::ThreadPool::from_env`.
+/// Worker-count override honored by [`crate::pool::ThreadPool::from_env`].
 pub const THREADS: &str = "CS_THREADS";
 
 /// Opt-in flag for the full golden corpus under debug profiles

@@ -24,9 +24,11 @@
 
 pub mod check;
 pub mod config;
+pub mod hash;
 pub mod kernels;
 pub mod matrix;
 pub mod pca;
+pub mod pool;
 pub mod projection;
 pub mod qr;
 pub mod rng;

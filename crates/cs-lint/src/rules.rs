@@ -36,7 +36,7 @@ pub const NO_UNORDERED_ITERATION: &str = "no-unordered-iteration";
 /// through `cs_linalg::config`.
 pub const NO_AMBIENT_AUTHORITY: &str = "no-ambient-authority";
 /// Rule: a second `Mutex`/`RwLock` guard acquired while another may still
-/// be live within one function body of `cs_core::pool` / cs-embed.
+/// be live within one function body of `cs_linalg::pool` / cs-embed.
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
 /// Rule: a justified `cs-lint: allow(<rule>)` pragma whose named rule no
 /// longer fires on the waived line — dead waivers hide real regressions.
@@ -50,8 +50,8 @@ pub const PRAGMA: &str = "pragma";
 /// at the source line or the sink line.
 pub const DETERMINISM_TAINT: &str = "determinism-taint";
 /// Rule: an unchecked `as` cast between float and integer width (or a
-/// narrowing `as f32`) inside a hot-path kernel of cs-linalg /
-/// `cs_core::pool` — NaN and out-of-range inputs truncate silently.
+/// narrowing `as f32`) inside a hot-path kernel of cs-linalg (the
+/// chunk-deal pool included) — NaN and out-of-range inputs truncate silently.
 pub const NO_LOSSY_CAST_IN_HOT_PATH: &str = "no-lossy-cast-in-hot-path";
 /// Rule: raw subtraction inside a slice index in chunk-deal code — a
 /// `usize` underflow panics in debug and wraps to a wild index in release.
@@ -132,10 +132,10 @@ pub struct FileClass {
     pub det_scope: bool,
     /// Designated config / bench module: `no-ambient-authority` off.
     pub ambient_exempt: bool,
-    /// `lock-discipline` scope: `cs_core::pool` and cs-embed sources.
+    /// `lock-discipline` scope: `cs_linalg::pool` and cs-embed sources.
     pub lock_scope: bool,
     /// Hot-path kernel scope (`no-lossy-cast-in-hot-path`): cs-linalg
-    /// library sources plus the chunk-deal pool.
+    /// library sources, the chunk-deal pool included.
     pub hot_path: bool,
     /// Chunk-deal / slot-assembly scope (`no-unchecked-index-arith`):
     /// the pool and the cs-linalg kernels.
@@ -158,11 +158,10 @@ impl FileClass {
                 .iter()
                 .any(|c| under(&["crates", c, "src"])),
             ambient_exempt: under(&["crates", "cs-bench"]) || basename == "config.rs",
-            lock_scope: rel_path == "crates/cs-core/src/pool.rs"
+            lock_scope: rel_path == "crates/cs-linalg/src/pool.rs"
                 || under(&["crates", "cs-embed", "src"]),
-            hot_path: under(&["crates", "cs-linalg", "src"])
-                || rel_path == "crates/cs-core/src/pool.rs",
-            chunk_deal: rel_path == "crates/cs-core/src/pool.rs"
+            hot_path: under(&["crates", "cs-linalg", "src"]),
+            chunk_deal: rel_path == "crates/cs-linalg/src/pool.rs"
                 || rel_path == "crates/cs-linalg/src/kernels.rs",
         }
     }
@@ -218,7 +217,7 @@ pub fn lint_rust_source(src: &str, rel_path: &str) -> Vec<Finding> {
                     t.line,
                     "`Mutex<Vec<..>>` accumulates parallel results in arrival order, \
                      breaking the determinism contract (DESIGN.md §8); deal indexed \
-                     chunks and assemble result slots by position (see cs_core::pool)",
+                     chunks and assemble result slots by position (see cs_linalg::pool)",
                 ));
             }
             "unwrap"
@@ -524,8 +523,8 @@ mod tests {
         assert!(b.test_code && b.ambient_exempt);
         let root = FileClass::from_path("tests/hermetic.rs");
         assert!(root.test_code);
-        let pool = FileClass::from_path("crates/cs-core/src/pool.rs");
-        assert!(pool.lock_scope && pool.det_scope);
+        let pool = FileClass::from_path("crates/cs-linalg/src/pool.rs");
+        assert!(pool.lock_scope && pool.det_scope && pool.linalg_lib);
         assert!(pool.hot_path && pool.chunk_deal);
         let embed = FileClass::from_path("crates/cs-embed/src/encoder.rs");
         assert!(embed.lock_scope && !embed.det_scope);
@@ -699,7 +698,8 @@ mod tests {
 
     #[test]
     fn mutex_of_non_vec_is_clean() {
-        // The pool's own `Mutex<mpsc::Receiver<..>>` shape must not fire.
+        // A `Mutex` of anything but a `Vec` (here a channel receiver)
+        // must not fire.
         let src = "use std::sync::Mutex;\nstruct P { rx: Mutex<std::sync::mpsc::Receiver<u8>> }";
         assert!(rules_fired(src, LIB).is_empty());
         assert!(rules_fired("fn f(m: &std::sync::Mutex<usize>) {}", LIB).is_empty());

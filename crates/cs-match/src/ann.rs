@@ -13,13 +13,15 @@
 //! cliff this module removes.
 //!
 //! Determinism contract: hyperplanes are drawn from a fixed seed, bucket
-//! contents hold row indices in ascending order, query fan-out uses the
-//! chunk-dealt [`crate::par`] map, and every truncation is tie-inclusive
+//! contents hold row indices in ascending order, query fan-out runs on
+//! the chunk-deal executor of [`cs_linalg::pool`], and every truncation
+//! is tie-inclusive
 //! on the exact score — so results are bit-identical across
 //! `CS_THREADS` and invariant to schema order (the projection fits in
 //! canonical row order).
 
 use crate::{dedup_pairs, CandidatePair, ElementSet, HyperplaneLsh, Matcher};
+use cs_linalg::pool::{self, ThreadPool};
 use cs_linalg::vecops::{cosine, sq_euclidean, total_cmp_f64};
 use cs_linalg::{Matrix, TruncatedProjection};
 use std::collections::BTreeMap;
@@ -41,8 +43,9 @@ pub struct AnnConfig {
     pub prefilter_dims: usize,
     /// Seed for the hyperplane draws and the projection fit.
     pub seed: u64,
-    /// Worker threads for query fan-out; `0` defers to `CS_THREADS`,
-    /// then to the machine. Never affects results, only wall time.
+    /// Worker threads for query fan-out; `0` runs on the process-wide
+    /// [`pool::global`] executor (sized by `CS_THREADS`, then the
+    /// machine). Never affects results, only wall time.
     pub threads: usize,
 }
 
@@ -78,6 +81,22 @@ impl AnnConfig {
         assert!(self.k >= 1, "top-k must be at least 1");
         assert!(self.tables >= 1, "need at least one LSH table");
         assert!(self.band_bits <= 63, "band bits must fit a u64");
+    }
+
+    /// Maps `work` over the query indices `0..n` on the configured
+    /// executor, in index order. A panicking query is re-raised on the
+    /// caller thread with the worker's message.
+    fn fan_out<T: Send>(&self, n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let pinned;
+        let executor = if self.threads == 0 {
+            pool::global()
+        } else {
+            pinned = ThreadPool::with_threads(self.threads);
+            &pinned
+        };
+        executor
+            .run_slots(n, work)
+            .unwrap_or_else(|e| panic!("ANN query fan-out: {e}"))
     }
 
     /// Automatic band width: aim for a mean bucket occupancy of ~8 rows,
@@ -297,19 +316,17 @@ impl AnnMatcher {
             return Vec::new();
         };
         let index = AnnIndex::build(global.data, self.config);
-        let threads = crate::par::resolve_threads(self.config.threads);
         let k = self.config.k;
         let schema_of = &global.schema_of;
         let ids = &global.ids;
-        let per_query: Vec<Vec<(CandidatePair, f64)>> =
-            crate::par::par_map_indexed(index.len(), threads, |qi| {
-                let qs = schema_of[qi];
-                index
-                    .search_filtered(index.data().row(qi), k, |i| schema_of[i] != qs)
-                    .into_iter()
-                    .map(|(i, d)| (CandidatePair::new(ids[qi], ids[i]), d))
-                    .collect()
-            });
+        let per_query: Vec<Vec<(CandidatePair, f64)>> = self.config.fan_out(index.len(), |qi| {
+            let qs = schema_of[qi];
+            index
+                .search_filtered(index.data().row(qi), k, |i| schema_of[i] != qs)
+                .into_iter()
+                .map(|(i, d)| (CandidatePair::new(ids[qi], ids[i]), d))
+                .collect()
+        });
         let mut best: BTreeMap<CandidatePair, f64> = BTreeMap::new();
         for (pair, d) in per_query.into_iter().flatten() {
             best.entry(pair)
@@ -382,22 +399,20 @@ impl Matcher for AnnSimMatcher {
             return Vec::new();
         };
         let index = AnnIndex::build(global.data, self.config);
-        let threads = crate::par::resolve_threads(self.config.threads);
         let k = self.config.k;
         let schema_of = &global.schema_of;
         let ids = &global.ids;
         let threshold = self.threshold;
-        let per_query: Vec<Vec<CandidatePair>> =
-            crate::par::par_map_indexed(index.len(), threads, |qi| {
-                let qs = schema_of[qi];
-                let query = index.data().row(qi);
-                index
-                    .search_filtered(query, k, |i| schema_of[i] != qs)
-                    .into_iter()
-                    .filter(|&(i, _)| cosine(query, index.data().row(i)) >= threshold)
-                    .map(|(i, _)| CandidatePair::new(ids[qi], ids[i]))
-                    .collect()
-            });
+        let per_query: Vec<Vec<CandidatePair>> = self.config.fan_out(index.len(), |qi| {
+            let qs = schema_of[qi];
+            let query = index.data().row(qi);
+            index
+                .search_filtered(query, k, |i| schema_of[i] != qs)
+                .into_iter()
+                .filter(|&(i, _)| cosine(query, index.data().row(i)) >= threshold)
+                .map(|(i, _)| CandidatePair::new(ids[qi], ids[i]))
+                .collect()
+        });
         dedup_pairs(per_query.into_iter().flatten().collect())
     }
 }

@@ -1,8 +1,9 @@
 //! Determinism contract for the ANN matching path (DESIGN.md §8, §14):
 //! the ranked output of [`AnnMatcher`] and the RRF-fused
 //! [`HybridMatcher`] must be bit-identical — pairs and scores — for
-//! every worker count. The `AnnConfig::threads` knob resolves exactly
-//! like `CS_THREADS` (both feed `resolve_threads`), so pinning it here
+//! every worker count. `AnnConfig::threads = n` pins a
+//! `cs_linalg::pool::ThreadPool::with_threads(n)` — the executor
+//! `CS_THREADS` sizes for the global pool — so pinning it here
 //! exercises the same chunk-deal scheduling the env var selects;
 //! `scripts/verify.sh` additionally sweeps the env var itself over the
 //! fault-matrix binaries, which run this matcher end to end.

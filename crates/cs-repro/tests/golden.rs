@@ -27,7 +27,9 @@ fn assert_matches_golden(name: &str, csv: &CsvTable) {
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("read golden {}: {e}", golden_path.display()));
 
-    let tmp = std::env::temp_dir().join(format!("cs_golden_{}", std::process::id()));
+    // One directory per table: tests run in parallel, and a shared
+    // directory would be removed under a sibling test's write.
+    let tmp = std::env::temp_dir().join(format!("cs_golden_{}_{name}", std::process::id()));
     let regen_path = tmp.join(name);
     csv.write_to(&regen_path).expect("write regenerated CSV");
     let regenerated = std::fs::read_to_string(&regen_path).expect("read regenerated CSV");

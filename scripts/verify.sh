@@ -77,6 +77,9 @@ done
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+echo "==> pipebench tests (the end-to-end benchmark must build against the library API)"
+cargo test -q --release --offline --manifest-path pipebench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
