@@ -5,7 +5,7 @@
 //! efficiency discussion (Table 4, Figure 7, §4.4) want numbers a script
 //! can diff. This module re-runs the same scoping / matching / scaling /
 //! ann / solver workloads under a configurable [`MeasureConfig`] and
-//! serializes one document — `BENCH_6.json` — via the workspace's
+//! serializes one document — `BENCH_8.json` — via the workspace's
 //! hermetic [`cs_core::json`] writer.
 //!
 //! Two calibration profiles exist:
@@ -38,8 +38,9 @@ use cs_oda::{LofDetector, OutlierDetector, PcaDetector, ZScoreDetector};
 /// Version of the emitted document layout.
 pub const SCHEMA_VERSION: usize = 1;
 
-/// Sequence number of this baseline in the PR stack (`BENCH_6.json`).
-pub const BENCH_ID: usize = 6;
+/// Sequence number of the checked-in baseline this emitter writes
+/// (`BENCH_8.json`).
+pub const BENCH_ID: usize = 8;
 
 /// Fraction of samples dropped from *each* end before the trimmed mean.
 pub const TRIM_FRACTION: f64 = 0.2;
@@ -51,7 +52,7 @@ pub enum Mode {
     /// debug build so it can run inside `cargo test -q` and verify.sh.
     Smoke,
     /// Real OC3 / OC3-FO datasets with bench-grade calibration; produces
-    /// the checked-in `BENCH_6.json` baseline (run in release).
+    /// the checked-in `BENCH_8.json` baseline (run in release).
     Full,
 }
 
@@ -587,10 +588,12 @@ fn bench_scaling(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
     // Size and unlinkable-ratio sweeps over generated catalogs (ROADMAP
     // item 5): one-shot samples at the big points — a single 100k-element
     // collaborative pass is tens of seconds, calibration loops would take
-    // hours. The exhaustive-rerank LSH matcher leg stops at `MATCH_CAP`
-    // attributes — it re-ranks per query against every foreign schema,
-    // which is quadratic-ish in total elements — while the budgeted ANN
-    // matcher covers the full range including the 100k point.
+    // hours. Only the scopers run at the 100k point; the other legs stop
+    // at `LEG_CAP` elements. The exhaustive-rerank LSH matcher re-ranks
+    // per query against every foreign schema, which is quadratic-ish in
+    // total elements. The sweep's per-element full-rank projection tables
+    // (ROADMAP item 3) and the ANN matcher each outgrow 6 GiB of memory at
+    // 100k, which a full run on a 16 GiB host cannot afford.
     let (size_totals, ratio_total, ratios, sweep_cfg) = match mode {
         Mode::Full => (
             vec![1_000usize, 10_000, 100_000],
@@ -604,7 +607,7 @@ fn bench_scaling(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
         ),
         Mode::Smoke => (vec![24usize, 48], 24, vec![0.5], *cfg),
     };
-    const MATCH_CAP: usize = 10_000;
+    const LEG_CAP: usize = 10_000;
     for target in size_totals {
         let ds = scaling_dataset(target, 0.5, 0x5CA_1E);
         let sigs = scaling_encode(&ds);
@@ -627,6 +630,9 @@ fn bench_scaling(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
                     .expect("valid scores")
             },
         );
+        if target > LEG_CAP {
+            continue;
+        }
         push(
             out,
             &sweep_cfg,
@@ -637,15 +643,13 @@ fn bench_scaling(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
         let sets: Vec<ElementSet> = (0..sigs.schema_count())
             .map(|k| ElementSet::full(k, sigs.schema(k).clone()))
             .collect();
-        if target <= MATCH_CAP {
-            push(
-                out,
-                &sweep_cfg,
-                "scaling",
-                format!("size/match_lsh/{total}"),
-                || LshMatcher::new(5).match_pairs(&sets),
-            );
-        }
+        push(
+            out,
+            &sweep_cfg,
+            "scaling",
+            format!("size/match_lsh/{total}"),
+            || LshMatcher::new(5).match_pairs(&sets),
+        );
         push(
             out,
             &sweep_cfg,
@@ -720,6 +724,27 @@ fn bench_solver(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
         );
     }
 
+    // The paper's operating point: an OC3-FO-sized local model (the
+    // Formula-One schema is 127 × 768) fitted on the exact Gram path at
+    // Fig 7's v, where the eigensolve and the kept-only component
+    // recovery dominate.
+    let (n, d, rank) = match mode {
+        Mode::Full => (127usize, 768usize, 48usize),
+        Mode::Smoke => (12, 72, 6),
+    };
+    let basis = Matrix::from_fn(rank, d, |_, _| rng.next_gaussian());
+    let coeff = Matrix::from_fn(n, rank, |_, j| rng.next_gaussian() / (1.0 + j as f64));
+    let mut paper = coeff.matmul(&basis);
+    for x in paper.as_mut_slice() {
+        *x += rng.next_gaussian() * 1e-2;
+    }
+    let config = PcaConfig::new()
+        .with_variance(ExplainedVariance::new(0.732105).expect("valid v"))
+        .with_solver(PcaSolver::Gram);
+    push(out, cfg, "solver", format!("pca_fit/gram/{n}x{d}"), || {
+        Pca::fit_with(&paper, config).expect("healthy probe")
+    });
+
     let m = match mode {
         Mode::Full => 192usize,
         Mode::Smoke => 16,
@@ -782,7 +807,7 @@ fn record_json(r: &BenchRecord) -> JsonValue {
     ])
 }
 
-/// Serializes a report into the `BENCH_6.json` document model.
+/// Serializes a report into the `BENCH_8.json` document model.
 pub fn to_json(report: &BenchReport) -> JsonValue {
     let pass_ops: Vec<(&str, JsonValue)> = report
         .datasets

@@ -19,6 +19,7 @@
 //! solver (see DESIGN.md §11 for the heuristic and determinism contract).
 
 use crate::stats::column_mean;
+use crate::svd::{prefers_gram, recover_right, RowsGram};
 use crate::vecops::mse;
 use crate::{Matrix, Svd, SvdError, Xoshiro256};
 
@@ -114,6 +115,21 @@ pub enum PcaTarget {
     /// Exactly `n` components, clamped to the available rank (the
     /// historical `fit_with_components`).
     Components(usize),
+}
+
+impl PcaTarget {
+    /// Components this target keeps from an exact spectrum with these
+    /// explained-variance ratios: clamped to `[1, ratios.len()]`, as
+    /// [`Pca::with_components`] clamps.
+    fn kept(self, ratios: &[f64]) -> usize {
+        let r = ratios.len();
+        let want = match self {
+            PcaTarget::FullRank => r,
+            PcaTarget::Variance(v) => Pca::components_for_variance(ratios, v.get()),
+            PcaTarget::Components(n) => n,
+        };
+        want.clamp(1.min(r), r)
+    }
 }
 
 /// Validated fit configuration consumed by [`Pca::fit_with`]: a solver, a
@@ -261,6 +277,17 @@ fn zero_variance_ratios(len: usize) -> Vec<f64> {
         *first = 1.0;
     }
     r
+}
+
+/// Per-component explained-variance ratios `σ_i² / Σ σ²` of an exact
+/// spectrum.
+fn variance_ratios(singular_values: &[f64]) -> Vec<f64> {
+    let total: f64 = singular_values.iter().map(|s| s * s).sum();
+    if total > 0.0 {
+        singular_values.iter().map(|s| s * s / total).collect()
+    } else {
+        zero_variance_ratios(singular_values.len())
+    }
 }
 
 /// The concrete exact decomposition a fit resolved to.
@@ -418,36 +445,47 @@ impl Pca {
 
     /// The exact path shared by the full-SVD and Gram solvers: center,
     /// decompose, derive the spectrum bookkeeping, apply the target.
+    ///
+    /// On the rows-side Gram path the eigenvalues alone fix the spectrum
+    /// bookkeeping, so the target is applied *before* component recovery
+    /// and only the kept components are recovered (each recovered row is
+    /// independent of the others, so this is bit-identical to recovering
+    /// all of them and truncating). The full spectrum is still recorded.
     fn fit_exact(data: &Matrix, path: ExactPath, target: PcaTarget) -> Result<Self, SvdError> {
         let mean = column_mean(data);
         let centered = data.sub_row_vector(&mean);
+        let (n, d) = centered.shape();
+        let rows_gram = n <= d
+            && match path {
+                ExactPath::Dispatch => prefers_gram(n, d),
+                ExactPath::Jacobi => false,
+                ExactPath::Gram => true,
+            };
+        if rows_gram {
+            let eig = RowsGram::solve(&centered)?;
+            let ratio = variance_ratios(&eig.singular_values);
+            let keep = target.kept(&ratio);
+            return Ok(Self {
+                mean,
+                components: eig.recover(&centered, keep),
+                explained_variance_ratio: ratio,
+                singular_values: eig.singular_values,
+            });
+        }
         let svd = match path {
             ExactPath::Dispatch => Svd::compute(&centered)?,
             ExactPath::Jacobi => Svd::jacobi(&centered)?,
             ExactPath::Gram => Svd::gram(&centered)?,
         };
-        let total: f64 = svd.singular_values.iter().map(|s| s * s).sum();
-        let ratio: Vec<f64> = if total > 0.0 {
-            svd.singular_values.iter().map(|s| s * s / total).collect()
-        } else {
-            zero_variance_ratios(svd.singular_values.len())
-        };
+        let ratio = variance_ratios(&svd.singular_values);
+        let keep = target.kept(&ratio);
         let full = Self {
             mean,
             components: svd.vt,
             explained_variance_ratio: ratio,
             singular_values: svd.singular_values,
         };
-        Ok(full.apply_target(target))
-    }
-
-    /// Applies a fit target to an already-decomposed model.
-    fn apply_target(self, target: PcaTarget) -> Self {
-        match target {
-            PcaTarget::FullRank => self,
-            PcaTarget::Variance(v) => self.truncated(v),
-            PcaTarget::Components(n) => self.with_components(n),
-        }
+        Ok(full.with_components(keep))
     }
 
     /// The truncated solver: deterministic seeded block subspace iteration
@@ -600,32 +638,13 @@ impl Pca {
             singular_values.push(lambda.sqrt());
             ratios.push(lambda / total);
         }
-        let mut components = Matrix::zeros(keep, d);
-        if rows_side {
+        let components = if rows_side {
             // components = Σ⁻¹ · Uᵀ · X, rows zero where σ ≈ 0.
-            let mut ut = Matrix::zeros(keep, n);
-            for slot in 0..keep {
-                for i in 0..n {
-                    ut[(slot, i)] = ritz[(i, slot)];
-                }
-            }
-            let unscaled = ut.matmul(&x);
-            for slot in 0..keep {
-                let sigma = singular_values[slot];
-                if sigma > crate::EPS {
-                    for k in 0..d {
-                        components[(slot, k)] = unscaled[(slot, k)] / sigma;
-                    }
-                }
-            }
+            recover_right(&x, &ritz, &singular_values)
         } else {
             // Columns-side eigenvectors are the components themselves.
-            for slot in 0..keep {
-                for k in 0..d {
-                    components[(slot, k)] = ritz[(k, slot)];
-                }
-            }
-        }
+            Matrix::from_fn(keep, d, |slot, k| ritz[(k, slot)])
+        };
         Ok(Self {
             mean,
             components,
@@ -979,6 +998,49 @@ mod tests {
             .zip(full_unified.singular_values())
         {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn kept_only_fit_equals_fit_full_then_truncate_bit_for_bit() {
+        // Rows-side Gram fits recover only the kept components; that must
+        // be indistinguishable from recovering all and truncating. The
+        // n > d and Jacobi-dispatch shapes pin the other exact paths too.
+        let bits = |m: &Pca| -> Vec<u64> {
+            let spectrum = m.explained_variance_ratio().iter();
+            (m.mean().iter().chain(m.components().as_slice()))
+                .chain(spectrum.chain(m.singular_values()))
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        let targets = [
+            PcaTarget::FullRank,
+            PcaTarget::Variance(ExplainedVariance::new(0.3).unwrap()),
+            PcaTarget::Variance(ExplainedVariance::new(0.9).unwrap()),
+            PcaTarget::Components(3),
+            PcaTarget::Components(500),
+        ];
+        for (n, d) in [(20, 60), (60, 20), (30, 40)] {
+            let data = decaying_data(n, d, 8, 61);
+            for solver in [PcaSolver::Auto, PcaSolver::Gram] {
+                let config = PcaConfig::new().with_solver(solver);
+                let full = Pca::fit_with(&data, config).unwrap();
+                for target in targets {
+                    let direct = match target {
+                        PcaTarget::FullRank => config.with_full_rank(),
+                        PcaTarget::Variance(v) => config.with_variance(v),
+                        PcaTarget::Components(c) => config.with_components(c),
+                    };
+                    let direct = Pca::fit_with(&data, direct).unwrap();
+                    let after = match target {
+                        PcaTarget::FullRank => full.clone(),
+                        PcaTarget::Variance(v) => full.truncated(v),
+                        PcaTarget::Components(c) => full.with_components(c),
+                    };
+                    assert_eq!(direct.n_components(), after.n_components());
+                    assert_eq!(bits(&direct), bits(&after), "{n}x{d} {solver:?} {target:?}");
+                }
+            }
         }
     }
 

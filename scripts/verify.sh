@@ -77,6 +77,9 @@ done
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+echo "==> release goldens (the debug run above skips table4, fig7, ann_quality and scaling_quality)"
+cargo test -q --release --offline -p cs-repro --test golden
+
 echo "==> pipebench tests (the end-to-end benchmark must build against the library API)"
 cargo test -q --release --offline --manifest-path pipebench/Cargo.toml
 
