@@ -1,5 +1,5 @@
 //! `bench_json` — runs the scoping / matching / scaling / ann / solver
-//! benchmark groups and writes the machine-readable `BENCH_8.json`
+//! benchmark groups and writes the machine-readable `BENCH_9.json`
 //! baseline.
 //!
 //! Usage:
@@ -10,7 +10,7 @@
 //!
 //! - `--smoke`: tiny datasets and sample budgets (< 5 s even in debug);
 //!   this is what `scripts/verify.sh` runs as its `bench-smoke` gate.
-//! - `--out PATH`: where to write the document (default `BENCH_8.json`
+//! - `--out PATH`: where to write the document (default `BENCH_9.json`
 //!   in the current directory).
 //! - `--budget PATH`: regression gate — reads the checked-in budget
 //!   document (`BENCH_BUDGET.json`) and fails with exit code 1 if any
@@ -89,7 +89,7 @@ fn check_budget(report: &emitter::BenchReport, path: &str) -> Result<Vec<String>
 
 fn main() {
     let mut mode = Mode::Full;
-    let mut out = String::from("BENCH_8.json");
+    let mut out = String::from("BENCH_9.json");
     let mut budget: Option<String> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {

@@ -21,8 +21,9 @@
 //! canonical row order).
 
 use crate::{dedup_pairs, CandidatePair, ElementSet, HyperplaneLsh, Matcher};
+use cs_linalg::kernels;
 use cs_linalg::pool::{self, ThreadPool};
-use cs_linalg::vecops::{cosine, sq_euclidean, total_cmp_f64};
+use cs_linalg::vecops::{cosine, total_cmp_f64};
 use cs_linalg::{Matrix, TruncatedProjection};
 use std::collections::BTreeMap;
 
@@ -222,19 +223,12 @@ impl AnnIndex {
             kept = (0..self.full.rows()).filter(|&i| keep(i)).collect();
         }
         if kept.len() > budget {
-            let hashed = self.lsh.data();
-            let mut scored: Vec<(usize, f64)> = kept
-                .into_iter()
-                .map(|i| (i, sq_euclidean(hash_query, hashed.row(i))))
-                .collect();
+            let mut scored = with_distances(hash_query, self.lsh.data(), kept);
             scored.sort_by(|a, b| total_cmp_f64(&a.1, &b.1).then(a.0.cmp(&b.0)));
             truncate_with_ties(&mut scored, budget);
             kept = scored.into_iter().map(|(i, _)| i).collect();
         }
-        let mut reranked: Vec<(usize, f64)> = kept
-            .into_iter()
-            .map(|i| (i, sq_euclidean(query, self.full.row(i))))
-            .collect();
+        let mut reranked = with_distances(query, &self.full, kept);
         reranked.sort_by(|a, b| total_cmp_f64(&a.1, &b.1).then(a.0.cmp(&b.0)));
         truncate_with_ties(&mut reranked, k);
         reranked
@@ -244,6 +238,13 @@ impl AnnIndex {
     pub fn search(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
         self.search_filtered(query, k, |_| true)
     }
+}
+
+/// `(row, squared distance to query)` for every listed row of `m`, four
+/// rows per pass over the query.
+fn with_distances(query: &[f64], m: &Matrix, rows: Vec<usize>) -> Vec<(usize, f64)> {
+    let dists = kernels::sq_distances_to(query, m, &rows);
+    rows.into_iter().zip(dists).collect()
 }
 
 /// The concatenated rows of every non-empty element set, with maps back
