@@ -22,9 +22,10 @@
 use crate::hash::{seeded_direction, trigram_vector};
 use crate::lexicon::{domains, ConceptEntry, Lexicon};
 use crate::token::tokenize;
+use cs_linalg::pool;
 use cs_linalg::vecops::{axpy, normalize};
 use cs_linalg::Matrix;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::RwLock;
 
 /// Tunable knobs of the encoder. The defaults are what every experiment in
@@ -127,7 +128,7 @@ impl SignatureEncoder {
         let mut total_weight = 0.0;
         let mut first = true;
         for tok in &tokens {
-            if tok.chars().all(|c| c.is_ascii_digit()) {
+            if is_number(tok) {
                 continue; // bare numbers carry no schema semantics
             }
             let position = if first {
@@ -147,14 +148,51 @@ impl SignatureEncoder {
         acc
     }
 
-    /// Encodes a batch of texts into a row-per-text matrix.
+    /// Encodes a batch of texts into a row-per-text matrix, bit-identical
+    /// to [`Self::encode`] on each text. The vectors of tokens not yet
+    /// cached are computed first, in one batch on the global executor
+    /// (`cs_linalg::pool`); pooling then reads them from the cache.
     pub fn encode_batch(&self, texts: &[String]) -> Matrix {
+        self.cache_tokens(texts);
         let rows: Vec<Vec<f64>> = texts.iter().map(|t| self.encode(t)).collect();
         if rows.is_empty() {
             Matrix::zeros(0, self.config.dim)
         } else {
             Matrix::from_rows(&rows)
         }
+    }
+
+    /// Computes the vector of every uncached, non-numeric token of `texts`
+    /// in parallel and caches them under one write lock. A token vector is
+    /// a pure function of the token, so the cache ends as a serial
+    /// [`Self::encode`] loop leaves it. If a worker panics nothing is
+    /// cached, and the serial loop computes (and panics on) each token
+    /// itself.
+    fn cache_tokens(&self, texts: &[String]) {
+        let missing: Vec<String> = {
+            let _read_trace = cs_linalg::sanitize::trace("embed.token_cache");
+            let cache = self.token_cache.read().unwrap_or_else(|p| p.into_inner());
+            let mut seen = HashSet::new();
+            texts
+                .iter()
+                .flat_map(|text| tokenize(text))
+                .filter(|tok| !is_number(tok) && !cache.contains_key(tok))
+                .filter(|tok| seen.insert(tok.clone()))
+                .collect()
+        };
+        if missing.is_empty() {
+            return;
+        }
+        let Ok(vectors) =
+            pool::global().run_slots(missing.len(), |i| self.compute_token_vector(&missing[i]))
+        else {
+            return;
+        };
+        let _write_trace = cs_linalg::sanitize::trace("embed.token_cache");
+        self.token_cache
+            .write()
+            .unwrap_or_else(|p| p.into_inner())
+            .extend(missing.into_iter().zip(vectors));
     }
 
     /// Pooling weight of a token (SQL type words are down-weighted).
@@ -322,6 +360,11 @@ impl SignatureEncoder {
     pub fn similarity(&self, a: &str, b: &str) -> f64 {
         cs_linalg::vecops::cosine(&self.encode(a), &self.encode(b))
     }
+}
+
+/// A bare number: skipped by pooling, so never looked up or cached.
+fn is_number(token: &str) -> bool {
+    token.chars().all(|c| c.is_ascii_digit())
 }
 
 impl std::fmt::Debug for SignatureEncoder {
@@ -500,6 +543,43 @@ mod tests {
         let m = e.encode_batch(&texts);
         assert_eq!(m.shape(), (2, 768));
         assert_eq!(m.row(0), e.encode(&texts[0]).as_slice());
+    }
+
+    #[test]
+    fn parallel_cold_encode_matches_serial_loop_and_cache() {
+        let texts: Vec<String> = [
+            "CUSTOMERNUMBER CUSTOMERS INTEGER",
+            "CNAME CAR VARCHAR",
+            "ORDER_DATETIME ORDERS DATE",
+            "ADDRESS1 CUSTOMER VARCHAR 255",
+            "",
+            "QZXV FLIBBERT",
+            "CNAME CAR VARCHAR",
+        ]
+        .map(String::from)
+        .into();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cache_bits = |e: &SignatureEncoder| {
+            let cache = e.token_cache.read().unwrap();
+            let mut entries: Vec<(String, Vec<u64>)> =
+                cache.iter().map(|(k, v)| (k.clone(), bits(v))).collect();
+            entries.sort();
+            entries
+        };
+        // Cold, and with part of the batch already cached.
+        for warm in [None, Some("CUSTOMER NAME CAR")] {
+            let (batch, serial) = (enc(), enc());
+            if let Some(text) = warm {
+                batch.encode(text);
+                serial.encode(text);
+            }
+            let m = batch.encode_batch(&texts);
+            for (i, text) in texts.iter().enumerate() {
+                assert_eq!(bits(m.row(i)), bits(&serial.encode(text)), "{text:?}");
+            }
+            assert_eq!(cache_bits(&batch), cache_bits(&serial));
+            assert!(!cache_bits(&batch).iter().any(|(tok, _)| tok == "255"));
+        }
     }
 
     #[test]

@@ -49,8 +49,10 @@ impl ExplainedVariance {
 /// The eigensolver backing a [`Pca::fit_with`] call.
 ///
 /// Every solver honors the same determinism contract: for a fixed input,
-/// config, and seed the result is bit-identical across runs, platforms and
-/// worker counts — none of them parallelize or depend on ambient state.
+/// config, and seed the result is bit-identical across runs and
+/// platforms, and bit-identical for any worker count: their kernel
+/// products split output rows across workers, never a chain, and none
+/// depends on ambient state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PcaSolver {
     /// Choose by shape and target: the exact [`Svd::compute`] dispatch

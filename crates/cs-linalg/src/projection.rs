@@ -120,13 +120,18 @@ impl TruncatedProjection {
         }
     }
 
-    /// Projects every row of `m`, preserving row order.
+    /// Projects every row of `m`, preserving row order; row `i` is
+    /// bit-identical to [`Self::project`] of it. The rows are centred
+    /// once and multiplied by the basis in one product: `(x − m)·c` is
+    /// the chain `c·(x − m)` sums.
+    ///
+    /// # Panics
+    /// If `m.cols()` differs from [`Self::in_dim`].
     pub fn project_rows(&self, m: &Matrix) -> Matrix {
-        let rows: Vec<Vec<f64>> = (0..m.rows()).map(|i| self.project(m.row(i))).collect();
-        if rows.is_empty() {
-            Matrix::zeros(0, self.out_dim)
-        } else {
-            Matrix::from_rows(&rows)
+        assert_eq!(m.cols(), self.in_dim, "projection input dim mismatch");
+        match &self.basis {
+            Some((mean, basis)) => m.sub_row_vector(mean).matmul_transposed(basis),
+            None => Matrix::from_fn(m.rows(), self.out_dim.min(self.in_dim), |i, j| m[(i, j)]),
         }
     }
 }
@@ -151,6 +156,22 @@ mod tests {
         assert_eq!(p.project(data.row(0)).len(), 4);
         let projected = p.project_rows(&data);
         assert_eq!((projected.rows(), projected.cols()), (40, 4));
+    }
+
+    #[test]
+    fn project_rows_is_bit_identical_to_project() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Below and above the blocked-kernel dispatch, plus a fallback.
+        for (rows, cols, dims) in [(7, 9, 3), (150, 140, 12), (20, 160, 5), (5, 6, 6)] {
+            let data = random(rows, cols, rows as u64);
+            let p = TruncatedProjection::fit(&data, dims, 4);
+            assert_eq!(p.is_coordinate(), dims >= cols);
+            let all = p.project_rows(&data);
+            assert_eq!(all.shape(), (rows, p.out_dim()));
+            for i in 0..rows {
+                assert_eq!(bits(all.row(i)), bits(&p.project(data.row(i))), "row {i}");
+            }
+        }
     }
 
     #[test]

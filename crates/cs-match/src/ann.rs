@@ -261,9 +261,10 @@ fn concat_sets(sets: &[ElementSet]) -> Option<GlobalRows> {
         return None;
     }
     let dim = nonempty[0].signatures.cols();
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut ids = Vec::new();
-    let mut schema_of = Vec::new();
+    let total: usize = nonempty.iter().map(|s| s.ids.len()).sum();
+    let mut data = Vec::with_capacity(total * dim);
+    let mut ids = Vec::with_capacity(total);
+    let mut schema_of = Vec::with_capacity(total);
     for set in &nonempty {
         assert_eq!(
             set.signatures.cols(),
@@ -271,13 +272,13 @@ fn concat_sets(sets: &[ElementSet]) -> Option<GlobalRows> {
             "element sets must share signature dimensionality"
         );
         for (r, &id) in set.ids.iter().enumerate() {
-            rows.push(set.signatures.row(r).to_vec());
+            data.extend_from_slice(set.signatures.row(r));
             ids.push(id);
             schema_of.push(set.schema);
         }
     }
     Some(GlobalRows {
-        data: Matrix::from_rows(&rows),
+        data: Matrix::from_vec(total, dim, data),
         ids,
         schema_of,
     })

@@ -83,29 +83,35 @@ cargo test -q --release --offline -p cs-repro --test golden
 echo "==> pipebench tests (the end-to-end benchmark must build against the library API)"
 cargo test -q --release --offline --manifest-path pipebench/Cargo.toml
 
-echo "==> pipebench digests (every workload's output pinned, seed 1 plus the synth-1300 hold-out seed)"
+echo "==> pipebench digests (every workload's output pinned, seed 1 plus the synth-1300 hold-out seed, default/1/3 threads)"
 # Each pipebench detail line carries a digest of the run's output:
 # decisions, votes and per-matcher candidate counts, or the sweep's AUC
 # bits. Pinning them here makes a kernel or numerics change that moves
 # any output fail this gate, not only the benchmark. When a change moves
 # a digest on purpose, update its pin below and record the old and new
 # digest, with the evidence that the move is legitimate, in CHANGES.md.
+# Every pin holds for any worker count: the default (the machine's
+# parallelism), one worker (no threads at all) and three (bands and
+# chunks split unevenly).
 pins=(
   "paper-oc3fo 1 dc5b1471653c22f3"
   "sweep-oc3fo 1 49bd56169e19bef2"
   "synth-1300 1 a729873f006fff60"
   "synth-1300 73019 8a44dc13048f2548"
 )
-for pin in "${pins[@]}"; do
-  read -r workload seed want <<<"$pin"
-  out="$(cargo run -q --release --offline --manifest-path pipebench/Cargo.toml -- \
-    --workload "$workload" --seed "$seed" --seconds 1 --trace 0)"
-  got="$(printf '%s\n' "$out" | grep -o '"digest":"[0-9a-f]*"' | head -n 1 | cut -d'"' -f4)"
-  if [ "$got" != "$want" ]; then
-    echo "FAIL: pipebench $workload seed $seed digest '$got', pinned $want" >&2
-    exit 1
-  fi
-  echo "pipebench digest: $workload seed $seed $got"
+for threads in "" 1 3; do
+  for pin in "${pins[@]}"; do
+    read -r workload seed want <<<"$pin"
+    out="$(env ${threads:+CS_THREADS=$threads} cargo run -q --release --offline \
+      --manifest-path pipebench/Cargo.toml -- \
+      --workload "$workload" --seed "$seed" --seconds 1 --trace 0)"
+    got="$(printf '%s\n' "$out" | grep -o '"digest":"[0-9a-f]*"' | head -n 1 | cut -d'"' -f4)"
+    if [ "$got" != "$want" ]; then
+      echo "FAIL: pipebench $workload seed $seed digest '$got' (CS_THREADS=${threads:-default}), pinned $want" >&2
+      exit 1
+    fi
+    echo "pipebench digest: $workload seed $seed $got (CS_THREADS=${threads:-default})"
+  done
 done
 
 echo "==> cargo fmt --check"
